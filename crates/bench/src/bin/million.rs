@@ -96,6 +96,16 @@ fn main() {
     let counts = world.outcome_counts();
     let stats = world.merged_stats();
     let queue = world.merged_queue_stats();
+    let (shards, nodes, epochs, now) = (
+        world.shard_count(),
+        world.node_count(),
+        world.epochs(),
+        world.now(),
+    );
+    let report = world.report();
+    // Everything the output needs is captured above; free this world
+    // before the speedup leg builds its own, so the two never coexist.
+    drop(world);
     let events_per_sec = stats.events as f64 * 1e9 / stats.busy_nanos.max(1) as f64;
 
     // Speedup leg: re-run with the complementary worker count (1 if the
@@ -114,7 +124,7 @@ fn main() {
         world2.run();
         let other_wall = t2.elapsed();
         assert_eq!(
-            world.report(),
+            report,
             world2.report(),
             "reports must be byte-identical across worker counts"
         );
@@ -139,14 +149,7 @@ fn main() {
     println!(
         "ran to {} in {:.2?} ({} epochs, {} workers): \
          direct {} relay {} failed {} pending {}",
-        world.now(),
-        run_wall,
-        world.epochs(),
-        workers,
-        counts.direct,
-        counts.relay,
-        counts.failed,
-        counts.pending,
+        now, run_wall, epochs, workers, counts.direct, counts.relay, counts.failed, counts.pending,
     );
     println!(
         "{:.2}M engine events, {:.1}M events/sec/core; queue depth hi {}, \
@@ -170,14 +173,14 @@ fn main() {
          \"batches_coalesced\": {}\n}}\n",
         args.seed,
         args.sessions,
-        world.shard_count(),
+        shards,
         detected,
         workers,
         speedup_json,
         args.waves,
-        world.node_count(),
-        world.epochs(),
-        world.now(),
+        nodes,
+        epochs,
+        now,
         counts.direct,
         counts.relay,
         counts.failed,
@@ -195,7 +198,7 @@ fn main() {
     );
 
     if let Some(path) = &args.report_out {
-        match std::fs::write(path, world.report()) {
+        match std::fs::write(path, &report) {
             Ok(()) => println!("(wrote {path})"),
             Err(e) => eprintln!("warning: could not write {path}: {e}"),
         }

@@ -9,14 +9,24 @@
 //!
 //! - Time is divided into fixed-width *days* of `2^DAY_SHIFT` nanoseconds.
 //! - A power-of-two ring of buckets (the *wheel*) holds every event whose
-//!   day falls inside the current horizon; push is a `Vec::push` into
+//!   day falls inside the current horizon. Each bucket is a `u32` list
+//!   head into one shared slab of slots; push takes a slot (from the free
+//!   list, else by growing the slab) and links it at the head of
 //!   `bucket[day & mask]`.
 //! - Events beyond the horizon go to an *overflow* binary heap and
 //!   migrate into the wheel as the horizon advances past them, each
 //!   exactly once.
-//! - Popping drains the earliest occupied day into a working set sorted
+//! - Popping unlinks the earliest occupied day into a working set sorted
 //!   descending by `(at, seq)` (unique keys, so unstable sorting is
-//!   deterministic) and serves from its tail.
+//!   deterministic), returns the day's slots to the free list, and
+//!   serves from the working set's tail.
+//!
+//! Because every bucket shares the slab, the wheel never holds more
+//! slots than the most entries it has ever held at once
+//! ([`CalendarQueue::slot_count`]). Per-bucket `Vec`s would instead keep
+//! the capacity of the busiest day that ever mapped to each bucket, which
+//! under long-lived periodic timers (keepalive bursts re-armed for
+//! hundreds of wheel turns) grows toward `buckets × busiest day`.
 //!
 //! The pop order is **exactly** the `(at, seq)` order a `BinaryHeap` with
 //! the same reversed comparator would produce — the property the pinned
@@ -43,16 +53,20 @@ const MIN_BUCKETS: usize = 256;
 
 /// Largest wheel: 65 536 buckets ≈ a 4.3 s horizon, enough to keep punch
 /// round-trips and spray timers out of the overflow tier at million-node
-/// scale while costing ~1.5 MiB of bucket headers.
+/// scale while costing 256 KiB of `u32` list heads.
 const MAX_BUCKETS: usize = 1 << 16;
 
 /// Cap for the *derived* pre-size (536 ms horizon): large worlds keep
 /// their dense near-future traffic in the wheel, while long-period
 /// timers (keepalives, give-up deadlines) ride the overflow tier, which
-/// handles sparse far-future entries in `O(log n)` without paying cold
-/// bucket allocations across a huge ring. Sustained overflow pressure
-/// still grows the wheel adaptively up to [`MAX_BUCKETS`].
+/// handles sparse far-future entries in `O(log n)` without maintaining
+/// and scanning the heads and occupancy bits of a huge, mostly empty
+/// ring. Sustained overflow pressure still grows the wheel adaptively up
+/// to [`MAX_BUCKETS`].
 const PRESIZE_MAX_BUCKETS: usize = 1 << 13;
+
+/// End-of-list marker for bucket heads, slot links and the free list.
+const NIL: u32 = u32::MAX;
 
 /// One queued item, keyed by `(at, seq)`.
 ///
@@ -91,13 +105,27 @@ impl<T> Ord for Entry<T> {
     }
 }
 
+/// One slab cell: a wheel entry and the link to the next slot in its
+/// bucket's list, or a vacant cell linked into the free list.
+struct Slot<T> {
+    entry: Option<Entry<T>>,
+    next: u32,
+}
+
 /// A monotone-time priority queue; see the [module docs](self).
 pub struct CalendarQueue<T> {
-    /// The wheel. `buckets.len()` is a power of two.
-    buckets: Vec<Vec<Entry<T>>>,
+    /// The wheel: one list head (a `slots` index, or [`NIL`]) per bucket,
+    /// newest entry first. `buckets.len()` is a power of two.
+    buckets: Vec<u32>,
+    /// The slab every bucket list threads through. It only grows when the
+    /// free list is empty, so its length is the most entries the wheel
+    /// has ever held at once.
+    slots: Vec<Slot<T>>,
+    /// Head of the free list of vacant `slots`, threaded through `next`.
+    free: u32,
     /// One bit per bucket, set iff the bucket is non-empty, so a scan
     /// for the next occupied day is a word-at-a-time bit search instead
-    /// of probing empty `Vec`s one simulated day at a time.
+    /// of probing empty heads one simulated day at a time.
     occupied: Vec<u64>,
     /// `buckets.len() - 1`, for day-to-index masking.
     mask: u64,
@@ -135,7 +163,9 @@ impl<T> CalendarQueue<T> {
     /// Creates an empty queue with the minimum wheel size.
     pub fn new() -> Self {
         CalendarQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
+            buckets: vec![NIL; MIN_BUCKETS],
+            slots: Vec::new(),
+            free: NIL,
             occupied: vec![0; MIN_BUCKETS / 64],
             mask: MIN_BUCKETS as u64 - 1,
             wheel_len: 0,
@@ -161,6 +191,12 @@ impl<T> CalendarQueue<T> {
     /// Current wheel size in buckets (a power of two).
     pub fn bucket_count(&self) -> usize {
         self.buckets.len()
+    }
+
+    /// Slab slots ever allocated: the most entries the wheel has held at
+    /// once, however many buckets they were spread over.
+    pub fn slot_count(&self) -> usize {
+        self.slots.len()
     }
 
     #[inline]
@@ -247,10 +283,7 @@ impl<T> CalendarQueue<T> {
             self.cursor = d;
         }
         if d < self.migrated_until {
-            let idx = (d & self.mask) as usize;
-            self.buckets[idx].push(Entry { at, seq, item });
-            self.mark_occupied(idx);
-            self.wheel_len += 1;
+            self.link(Entry { at, seq, item });
         } else {
             self.overflow.push(Entry { at, seq, item });
             // Sustained far-future load means the horizon is too short
@@ -391,49 +424,73 @@ impl<T> CalendarQueue<T> {
                 break;
             }
             if let Some(e) = self.overflow.pop() {
-                let d = Self::day(e.at);
-                let idx = (d & self.mask) as usize;
-                self.buckets[idx].push(e);
-                self.mark_occupied(idx);
-                self.wheel_len += 1;
+                self.link(e);
             }
         }
     }
 
-    /// Moves the entries of day `d` from its bucket into the working set
-    /// and re-sorts; entries aliased from other rotations stay behind.
-    /// Returns how many entries moved.
+    /// Stores `e` in a slot, reusing a vacant one when possible, and links
+    /// it at the head of its day's bucket.
+    fn link(&mut self, e: Entry<T>) {
+        let idx = (Self::day(e.at) & self.mask) as usize;
+        let slot = Slot {
+            entry: Some(e),
+            next: self.buckets[idx],
+        };
+        let s = if self.free != NIL {
+            let s = self.free;
+            self.free = std::mem::replace(&mut self.slots[s as usize], slot).next;
+            s
+        } else {
+            // punch-lint: allow(P001) see PacketArena::insert — more than
+            // u32::MAX live events is unreachable (memory exhaustion comes
+            // first); a cast would silently alias slots.
+            let s = u32::try_from(self.slots.len()).expect("calendar slab overflow");
+            self.slots.push(slot);
+            s
+        };
+        self.buckets[idx] = s;
+        self.mark_occupied(idx);
+        self.wheel_len += 1;
+    }
+
+    /// Moves the entries of day `d` from its bucket into the working set,
+    /// freeing their slots, and re-sorts; entries aliased from other
+    /// rotations stay linked. Returns how many entries moved.
     fn drain_bucket_day(&mut self, d: u64) -> usize {
         let idx = (d & self.mask) as usize;
-        let bucket = &mut self.buckets[idx];
-        if bucket.is_empty() {
+        let mut prev = NIL;
+        let mut cur = self.buckets[idx];
+        let mut moved = 0;
+        while cur != NIL {
+            let slot = &mut self.slots[cur as usize];
+            let next = slot.next;
+            match slot.entry.take_if(|e| Self::day(e.at) == d) {
+                Some(e) => {
+                    slot.next = self.free;
+                    self.free = cur;
+                    if prev == NIL {
+                        self.buckets[idx] = next;
+                    } else {
+                        self.slots[prev as usize].next = next;
+                    }
+                    self.current.push(e);
+                    moved += 1;
+                }
+                None => prev = cur,
+            }
+            cur = next;
+        }
+        if moved == 0 {
             return 0;
         }
-        let moved;
-        if bucket.iter().all(|e| Self::day(e.at) == d) {
-            // Overwhelmingly the common case: the bucket holds only this
-            // rotation, so the whole Vec moves and keeps its capacity.
-            moved = bucket.len();
-            self.current.append(bucket);
+        if self.buckets[idx] == NIL {
             self.mark_empty(idx);
-        } else {
-            let before = bucket.len();
-            let mut i = 0;
-            while i < bucket.len() {
-                if Self::day(bucket[i].at) == d {
-                    self.current.push(bucket.swap_remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-            moved = before - bucket.len();
-            if moved == 0 {
-                return 0;
-            }
         }
         self.wheel_len -= moved;
         // Ascending under the reversed `Ord` = descending by `(at, seq)`;
-        // keys are unique, so the unstable sort is deterministic.
+        // keys are unique, so the unstable sort is deterministic. Lists
+        // are newest-first, so a day arrives as a descending-`seq` run.
         self.current.sort_unstable();
         moved
     }
@@ -443,11 +500,7 @@ impl<T> CalendarQueue<T> {
         if target <= self.buckets.len() {
             return;
         }
-        let mut moved: Vec<Entry<T>> = Vec::with_capacity(self.wheel_len);
-        for b in &mut self.buckets {
-            moved.append(b);
-        }
-        self.buckets.resize_with(target, Vec::new);
+        self.buckets = vec![NIL; target];
         self.occupied = vec![0; target / 64];
         self.mask = target as u64 - 1;
         // Keep any horizon already promised (a rewind can leave
@@ -457,13 +510,15 @@ impl<T> CalendarQueue<T> {
         if self.migrated_until < horizon {
             self.migrated_until = horizon;
         }
-        self.wheel_len = 0;
-        for e in moved {
-            let d = Self::day(e.at);
-            let idx = (d & self.mask) as usize;
-            self.buckets[idx].push(e);
-            self.mark_occupied(idx);
-            self.wheel_len += 1;
+        // Re-link every occupied slot under the new mask; vacant slots
+        // stay on the free list untouched.
+        for (s, slot) in (0u32..).zip(self.slots.iter_mut()) {
+            if let Some(e) = &slot.entry {
+                let idx = (Self::day(e.at) & self.mask) as usize;
+                slot.next = self.buckets[idx];
+                self.buckets[idx] = s;
+                self.occupied[idx >> 6] |= 1u64 << (idx & 63);
+            }
         }
         self.migrate();
     }
@@ -589,6 +644,36 @@ mod tests {
         }
         assert!(q.bucket_count() > before, "wheel should have grown");
         assert_eq!(q.len(), MIN_BUCKETS * 4 + 3);
+    }
+
+    #[test]
+    fn periodic_rearm_keeps_slab_bounded_by_live_entries() {
+        // The keepalive pattern: K timers fire in tight bursts and each is
+        // re-armed one period later. The period is not a multiple of the
+        // horizon, so successive bursts land in different buckets; over
+        // 100+ wheel turns per-bucket storage would keep a burst's worth
+        // of room in every bucket ever hit. The shared slab must not.
+        const K: u64 = 1_000;
+        const PERIOD_NS: u64 = 1_337_000_000;
+        let mut q = CalendarQueue::new();
+        q.ensure_capacity_for(2_048);
+        let horizon_ns = (q.bucket_count() as u64) << DAY_SHIFT;
+        for i in 0..K {
+            q.push(t((i % 8) * 20_000), i, 0u32);
+        }
+        let mut seq = K;
+        let mut now = 0;
+        let mut max_len = q.len();
+        while now < 100 * horizon_ns {
+            let e = q.pop_front().expect("timers are always re-armed");
+            now = e.at.as_nanos();
+            q.push(t(now + PERIOD_NS), seq, 0u32);
+            seq += 1;
+            max_len = max_len.max(q.len());
+            assert!(q.slot_count() <= max_len);
+        }
+        assert_eq!(max_len, K as usize);
+        assert!(q.slot_count() <= K as usize, "slab grew past K");
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! reversed comparator; the calendar queue must reproduce it bit for
 //! bit over arbitrary schedules, including the awkward cases: same-day
 //! ties, far-future overflow entries, pushes below an already-scanned
-//! day, interleaved pops, and wheel growth mid-stream.
+//! day, interleaved pops, and wheel growth mid-stream. Alongside the
+//! order, it checks the memory bound: the wheel's slab never holds more
+//! slots than the queue has ever held entries at once.
 
 use proptest::prelude::*;
 use punch_net::calendar::CalendarQueue;
@@ -56,6 +58,7 @@ proptest! {
         let mut heap: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut now = SimTime::ZERO;
+        let mut max_len = 0usize;
 
         for op in &ops {
             match op {
@@ -94,6 +97,13 @@ proptest! {
                 }
             }
             prop_assert_eq!(cal.len(), heap.len());
+            max_len = max_len.max(cal.len());
+            prop_assert!(
+                cal.slot_count() <= max_len,
+                "slab holds {} slots, peak live entries {}",
+                cal.slot_count(),
+                max_len
+            );
         }
 
         // Drain: the full remaining sequences must match.

@@ -3,7 +3,7 @@
 #
 #   scripts/ci.sh            (from the repo root)
 #
-# Steps:
+# Steps (one "== ... ==" section each):
 #   1. cargo build --release              — everything compiles optimized
 #   2. cargo test -q                      — tier-1: the root package's suites
 #                                           (paper_claims, resilience, chaos)
@@ -19,32 +19,55 @@
 #                                           as in clippy)
 #   6. punch-lint                         — the workspace's own determinism
 #                                           & wire-safety analyzer (LINTS.md)
-#                                           must report zero violations, its
-#                                           text/JSON reports and emitted
-#                                           registries must be byte-identical
-#                                           across runs, the emitted
-#                                           registries must match the pinned
+#                                           must report zero violations, and
+#                                           its text/JSON reports must be
+#                                           byte-identical across runs
+#   7. punch-lint registry drift gate     — the emitted registries must
+#                                           match the pinned
 #                                           results/LINT_*.json (no
-#                                           unexplained drift), and a seeded
-#                                           violation per rule family
-#                                           (P001 + S001–S004) must make it
-#                                           fail
-#   7. chaos smoke test                   — 2 trials per fault class, must
+#                                           unexplained drift)
+#   8. punch-lint seeded violations       — a seeded violation per rule
+#                                           family (P001 + S001–S004) must
+#                                           make it fail
+#   9. chaos smoke test                   — 2 trials per fault class, must
 #                                           report zero failures
-#   8. metrics determinism smoke          — the chaos bin's metrics export
+#  10. metrics determinism smoke          — the chaos bin's metrics export
 #                                           is byte-identical for the same
 #                                           seeds at 1 vs 2 workers
-#   9. million-scale shard smoke          — a capped ShardedWorld run's
+#  11. million-scale shard smoke          — a capped ShardedWorld run's
 #                                           per-session outcome report is
 #                                           byte-identical at 1 vs 2
 #                                           workers, every session
 #                                           resolves, and events/sec gets
 #                                           a soft (warn-only) floor
-#  10. rendezvous-fleet smoke             — an n=4 mini flash crowd with a
+#  12. rendezvous-fleet smoke             — an n=4 mini flash crowd with a
 #                                           mid-crowd server restart: the
 #                                           fleet JSON is byte-identical
 #                                           at 1 vs 2 workers, zero
 #                                           pending, zero forward errors
+#  13. decoder fuzz suites                — the wire-codec and TCP segment
+#                                           property tests, run explicitly
+#  14. chaos search smoke                 — 20 sampled fault schedules,
+#                                           zero invariant violations
+#  15. pinned chaos results               — a default chaos run reproduces
+#                                           results/chaos.txt byte for byte
+#  16. strategy-matrix smoke              — byte-identical at 1 vs 2
+#                                           workers, and sequential-delta
+#                                           prediction beats Basic on the
+#                                           symmetric x symmetric cell
+#  17. attack-suite smoke                 — every attack disrupts the
+#                                           undefended victim and none the
+#                                           defended one, byte-identical
+#                                           at 1 vs 2 workers
+#  18. adversarial chaos search smoke     — 20 sampled attack schedules,
+#                                           zero invariant violations
+#  19. benchmark smoke                    — perfbench is its own Cargo
+#                                           workspace, so nothing above
+#                                           builds it: run.py builds it
+#                                           and runs each workload (crowd,
+#                                           fleet, survey) for 1 s, plus a
+#                                           traced fleet run; every result
+#                                           line must say "correct": true
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -288,3 +311,20 @@ if ! echo "$out" | grep -q "violations: 0"; then
     exit 1
 fi
 echo "OK: no invariant violations under sampled attack schedules"
+
+echo "== benchmark smoke (perfbench/run.py, every workload + a traced run) =="
+bench_smoke() {
+    python3 perfbench/run.py --workload "$1" --seed 1 --seconds 1 --trace "$2" \
+        > "$tmpdir/bench_$1_$2.txt"
+    tail -n 1 "$tmpdir/bench_$1_$2.txt" | python3 -c '
+import json, sys
+ok = json.loads(sys.stdin.read()).get("correct")
+if ok is not True:
+    sys.exit(f"FAIL: benchmark {sys.argv[1]} --trace {sys.argv[2]} reported correct={ok}")
+' "$1" "$2"
+    echo "OK: $1 --trace $2 correct"
+}
+for w in crowd fleet survey; do
+    bench_smoke "$w" 0
+done
+bench_smoke fleet 1
