@@ -106,7 +106,7 @@ pub struct TcpPeer {
     /// Authenticated streams: socket → peer.
     streams: BTreeMap<SocketId, PeerId>,
     pending_connects: Vec<PeerId>,
-    events: VecDeque<TcpPeerEvent>,
+    events: Vec<TcpPeerEvent>,
     next_token: u64,
     timers: BTreeMap<u64, TimerPurpose>,
     stats: TcpPeerStats,
@@ -140,7 +140,7 @@ impl TcpPeer {
             conn_frames: BTreeMap::new(),
             streams: BTreeMap::new(),
             pending_connects: Vec::new(),
-            events: VecDeque::new(),
+            events: Vec::new(),
             next_token: 1,
             timers: BTreeMap::new(),
             stats: TcpPeerStats::default(),
@@ -150,7 +150,7 @@ impl TcpPeer {
 
     /// Drains accumulated events.
     pub fn take_events(&mut self) -> Vec<TcpPeerEvent> {
-        self.events.drain(..).collect()
+        std::mem::take(&mut self.events)
     }
 
     /// Our public endpoint as observed by S over the control connection.
@@ -473,13 +473,13 @@ impl TcpPeer {
             "punch.tcp.winner_kind",
             winner_kind.map(CandidateKind::label).unwrap_or("observed"),
         );
-        self.events.push_back(TcpPeerEvent::Established {
+        self.events.push(TcpPeerEvent::Established {
             peer,
             sock,
             path,
             remote,
         });
-        self.events.push_back(TcpPeerEvent::RaceSettled {
+        self.events.push(TcpPeerEvent::RaceSettled {
             peer,
             winner: Some(remote),
             candidates: race,
@@ -537,7 +537,7 @@ impl TcpPeer {
             }
             Message::PeerData { data } => {
                 if let Some(&peer) = self.streams.get(&sock) {
-                    self.events.push_back(TcpPeerEvent::Data {
+                    self.events.push(TcpPeerEvent::Data {
                         peer,
                         data,
                         via: Via::Direct,
@@ -563,7 +563,7 @@ impl TcpPeer {
                         .map(|(s, _)| *s);
                     session.winner = fallback;
                     if fallback.is_none() {
-                        self.events.push_back(TcpPeerEvent::PeerClosed { peer });
+                        self.events.push(TcpPeerEvent::PeerClosed { peer });
                     }
                 }
             }
@@ -619,7 +619,7 @@ impl TcpPeer {
                 self.reconnect_fails = 0;
                 self.public = Some(public);
                 if first {
-                    self.events.push_back(TcpPeerEvent::Registered { public });
+                    self.events.push(TcpPeerEvent::Registered { public });
                     let pending: Vec<PeerId> = self.pending_connects.drain(..).collect();
                     for peer in pending {
                         self.connect(os, peer);
@@ -666,7 +666,7 @@ impl TcpPeer {
             }
             Message::RelayedData { from, data } => {
                 if data.first() == Some(&RELAY_KIND_APP) {
-                    self.events.push_back(TcpPeerEvent::Data {
+                    self.events.push(TcpPeerEvent::Data {
                         peer: from,
                         data: data.slice(1..),
                         via: Via::Relay,
@@ -705,8 +705,8 @@ impl TcpPeer {
             session.candidates.probed_count() as u64,
         );
         os.metric_inc_labeled("punch.tcp.winner_kind", "none");
-        self.events.push_back(TcpPeerEvent::PunchFailed { peer });
-        self.events.push_back(TcpPeerEvent::RaceSettled {
+        self.events.push(TcpPeerEvent::PunchFailed { peer });
+        self.events.push(TcpPeerEvent::RaceSettled {
             peer,
             winner: None,
             candidates: race,
@@ -715,7 +715,7 @@ impl TcpPeer {
             session.relaying = true;
             os.metric_inc("punch.tcp.relay_fallback");
             let pending: Vec<Bytes> = session.pending.drain(..).collect();
-            self.events.push_back(TcpPeerEvent::RelayActive { peer });
+            self.events.push(TcpPeerEvent::RelayActive { peer });
             for data in pending {
                 self.relay_app_data(os, peer, data);
             }

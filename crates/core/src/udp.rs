@@ -17,11 +17,11 @@ use crate::config::UdpPeerConfig;
 use crate::events::{UdpPeerEvent, Via};
 use crate::timeline::PunchTimeline;
 use bytes::{BufMut, Bytes, BytesMut};
-use punch_net::{Endpoint, SimTime};
+use punch_net::{Endpoint, SimTime, VecMap};
 use punch_rendezvous::{Message, PeerId};
 use punch_transport::{App, Os, SockEvent, SocketId};
 use rand::Rng;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use crate::relay::{RELAY_KIND_APP, RELAY_KIND_CONTROL};
 
@@ -155,16 +155,16 @@ pub struct UdpPeer {
     /// re-contacting them consumes *fresh* allocations on a symmetric
     /// NAT — the allocator's cursor never moves backwards (§5.1).
     expired_allocs: u32,
-    /// Per-peer punch state, boxed: a `BTreeMap` node holds up to 11
-    /// entries inline, so an unboxed ~270-byte `Session` makes every
-    /// single-session peer allocate a ~3 KB node. Boxing keeps the node
-    /// pointer-sized per entry, which at 10^5-peer scale is the
-    /// difference between ~60 MB and ~10 MB of session-table RSS.
-    sessions: BTreeMap<PeerId, Box<Session>>,
+    /// Per-peer punch state. Boxed so the sorted vector's entries stay
+    /// pointer-sized: its spare capacity and insert shifts then cost a
+    /// few words per session, not a whole `Session` each.
+    sessions: VecMap<PeerId, Box<Session>>,
     pending_connects: Vec<PeerId>,
-    events: VecDeque<UdpPeerEvent>,
+    events: Vec<UdpPeerEvent>,
     next_token: u64,
-    timers: BTreeMap<u64, TimerPurpose>,
+    /// Live timer tokens and what they mean; a handful at a time, only
+    /// ever inserted and removed, so an unordered vector suffices.
+    timers: Vec<(u64, TimerPurpose)>,
     stats: UdpPeerStats,
     server_ka_armed: bool,
     /// When the current registration with S was first acknowledged;
@@ -214,11 +214,11 @@ impl UdpPeer {
             delta: None,
             dests_seen: BTreeSet::new(),
             expired_allocs: 0,
-            sessions: BTreeMap::new(),
+            sessions: VecMap::new(),
             pending_connects: Vec::new(),
-            events: VecDeque::new(),
+            events: Vec::new(),
             next_token: 1,
-            timers: BTreeMap::new(),
+            timers: Vec::new(),
             stats: UdpPeerStats::default(),
             server_ka_armed: false,
             registered_at: None,
@@ -227,7 +227,7 @@ impl UdpPeer {
 
     /// Drains accumulated events.
     pub fn take_events(&mut self) -> Vec<UdpPeerEvent> {
-        self.events.drain(..).collect()
+        std::mem::take(&mut self.events)
     }
 
     /// Our public endpoint as observed by S, once registered.
@@ -311,7 +311,7 @@ impl UdpPeer {
         }
         let now = os.now();
         let nonce: u64 = os.rng().gen();
-        let session = self.sessions.entry(peer).or_insert_with(|| Box::new(Session::new(nonce)));
+        let session = self.sessions.get_or_insert_with(peer, || Box::new(Session::new(nonce)));
         session.timeline.registered = self.registered_at;
         session.timeline.requested.get_or_insert(now);
         self.send_server(
@@ -348,7 +348,7 @@ impl UdpPeer {
                     // The hole evidently closed; re-run the procedure.
                     session.pending.push_back(data);
                     os.metric_inc_labeled("punch.session_died", "stale-on-send");
-                    self.events.push_back(UdpPeerEvent::SessionDied { peer });
+                    self.events.push(UdpPeerEvent::SessionDied { peer });
                     self.start_repunch(os, peer);
                     return;
                 }
@@ -490,7 +490,7 @@ impl UdpPeer {
     fn arm(&mut self, os: &mut Os<'_, '_>, after: std::time::Duration, purpose: TimerPurpose) {
         let token = self.next_token;
         self.next_token += 1;
-        self.timers.insert(token, purpose);
+        self.timers.push((token, purpose));
         os.set_timer(after, token);
     }
 
@@ -599,7 +599,7 @@ impl UdpPeer {
         let candidates = CandidateSet::from_plan(&self.cfg.punch.plan, public, private);
         let now = os.now();
         let registered_at = self.registered_at;
-        let session = self.sessions.entry(peer).or_insert_with(|| Box::new(Session::new(nonce)));
+        let session = self.sessions.get_or_insert_with(peer, || Box::new(Session::new(nonce)));
         session.nonce = nonce;
         session.candidates = candidates;
         session.intro = Some((public, private));
@@ -767,9 +767,9 @@ impl UdpPeer {
             }
         }
         self.events
-            .push_back(UdpPeerEvent::Established { peer, remote });
+            .push(UdpPeerEvent::Established { peer, remote });
         if let Some(candidates) = settled {
-            self.events.push_back(UdpPeerEvent::RaceSettled {
+            self.events.push(UdpPeerEvent::RaceSettled {
                 peer,
                 winner: Some(remote),
                 candidates,
@@ -836,7 +836,7 @@ impl UdpPeer {
                 if first {
                     self.registered_at = Some(now);
                     os.metric_inc("punch.registered");
-                    self.events.push_back(UdpPeerEvent::Registered { public });
+                    self.events.push(UdpPeerEvent::Registered { public });
                     if !self.server_ka_armed {
                         self.server_ka_armed = true;
                         let ka = self.cfg.server_keepalive;
@@ -875,7 +875,7 @@ impl UdpPeer {
                 }
                 match data[0] {
                     RELAY_KIND_CONTROL => self.handle_control(peer, &data[1..]),
-                    RELAY_KIND_APP => self.events.push_back(UdpPeerEvent::Data {
+                    RELAY_KIND_APP => self.events.push(UdpPeerEvent::Data {
                         peer,
                         data: data.slice(1..),
                         via: Via::Relay,
@@ -931,7 +931,7 @@ impl UdpPeer {
             Message::PeerData { data } => {
                 if let Some(peer) = self.session_by_remote(from) {
                     self.touch(peer, now);
-                    self.events.push_back(UdpPeerEvent::Data {
+                    self.events.push(UdpPeerEvent::Data {
                         peer,
                         data,
                         via: Via::Direct,
@@ -979,7 +979,7 @@ impl UdpPeer {
                 }
                 _ => false,
             };
-            self.events.push_back(UdpPeerEvent::RelayActive { peer });
+            self.events.push(UdpPeerEvent::RelayActive { peer });
             if arm_probe {
                 let interval = probe_interval.expect("checked above"); // punch-lint: allow(P001) arm_probe is only true when probe_interval is Some (checked above)
                 self.arm(os, interval, TimerPurpose::RelayProbe(peer));
@@ -1005,9 +1005,9 @@ impl UdpPeer {
             session.state = SessionState::Failed;
             session.timeline.failed = Some(now);
             os.metric_inc_labeled("punch.failed", reason);
-            self.events.push_back(UdpPeerEvent::PunchFailed { peer });
+            self.events.push(UdpPeerEvent::PunchFailed { peer });
         }
-        self.events.push_back(UdpPeerEvent::RaceSettled {
+        self.events.push(UdpPeerEvent::RaceSettled {
             peer,
             winner: None,
             candidates: race_record,
@@ -1040,9 +1040,10 @@ impl App for UdpPeer {
     }
 
     fn on_timer(&mut self, os: &mut Os<'_, '_>, token: u64) {
-        let Some(purpose) = self.timers.remove(&token) else {
+        let Some(i) = self.timers.iter().position(|&(t, _)| t == token) else {
             return;
         };
+        let (_, purpose) = self.timers.swap_remove(i);
         match purpose {
             TimerPurpose::RegisterRetry => {
                 if !self.registered {
@@ -1072,7 +1073,7 @@ impl App for UdpPeer {
                     self.registered = false;
                     self.server_ka_armed = false;
                     os.metric_inc("punch.server_lost");
-                    self.events.push_back(UdpPeerEvent::ServerLost);
+                    self.events.push(UdpPeerEvent::ServerLost);
                     self.register_all(os, private);
                     self.arm(os, self.cfg.register_retry, TimerPurpose::RegisterRetry);
                     return;
@@ -1144,7 +1145,7 @@ impl App for UdpPeer {
                         session.timeline.failed = Some(now);
                         session.timeline.failure = Some("session-timeout");
                         os.metric_inc_labeled("punch.session_died", "keepalive-timeout");
-                        self.events.push_back(UdpPeerEvent::SessionDied { peer });
+                        self.events.push(UdpPeerEvent::SessionDied { peer });
                         if auto_repunch {
                             self.start_repunch(os, peer);
                         }
@@ -1260,12 +1261,12 @@ mod tests {
         payload.extend_from_slice(&31001u16.to_be_bytes());
         payload.extend_from_slice(&31002u16.to_be_bytes());
         peer.handle_control(PeerId(2), &payload);
-        let cands = peer.sessions[&PeerId(2)].candidates.endpoints();
+        let cands = peer.sessions.get(&PeerId(2)).unwrap().candidates.endpoints();
         assert_eq!(cands.len(), 3);
         assert!(cands.contains(&"138.76.29.7:31002".parse().unwrap()));
         // Duplicate announcements do not duplicate candidates.
         peer.handle_control(PeerId(2), &payload);
-        assert_eq!(peer.sessions[&PeerId(2)].candidates.endpoints().len(), 3);
+        assert_eq!(peer.sessions.get(&PeerId(2)).unwrap().candidates.endpoints().len(), 3);
     }
 
     #[test]
@@ -1277,7 +1278,7 @@ mod tests {
         peer.sessions.insert(PeerId(2), Box::new(Session::new(1)));
         peer.handle_control(PeerId(2), &[1, 2, 3]); // too short
         peer.handle_control(PeerId(2), &[1, 2, 3, 4, 9, 0, 1]); // count says 9, data for 1
-        assert!(peer.sessions[&PeerId(2)].candidates.is_empty());
+        assert!(peer.sessions.get(&PeerId(2)).unwrap().candidates.is_empty());
     }
 
     #[test]

@@ -55,6 +55,7 @@ pub mod sim;
 pub mod testutil;
 pub mod time;
 pub mod trace;
+pub mod vecmap;
 
 pub use addr::{Cidr, Endpoint};
 pub use fault::{FaultPlan, LinkAction, FAULT_RESTART};
@@ -66,6 +67,7 @@ pub use router::Router;
 pub use sim::{LinkId, QueueStats, Sim, SimStats};
 pub use time::SimTime;
 pub use trace::{TraceDir, TraceEvent, Tracer};
+pub use vecmap::VecMap;
 
 /// Re-export of [`std::time::Duration`], used for all time intervals.
 pub use std::time::Duration;

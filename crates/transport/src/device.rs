@@ -16,6 +16,7 @@ use punch_net::{Ctx, Device, Endpoint, IfaceId, Packet, SimTime};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::any::Any;
+use std::cell::Cell;
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
@@ -187,16 +188,48 @@ pub struct HostDevice {
     /// Stack counters already published to the metrics registry; the
     /// device reports deltas after each callback.
     published: StackStats,
-    /// Reusable drain buffers for [`Self::drive`]; retained across
-    /// callbacks so the per-packet dispatch loop never allocates.
-    scratch: DriveScratch,
 }
 
+/// One set of stack outboxes, lent to whichever host is running.
 #[derive(Default)]
-struct DriveScratch {
-    packets: Vec<Packet>,
+struct Outboxes {
+    out: Vec<Packet>,
     events: Vec<SockEvent>,
     timers: Vec<(Duration, u64)>,
+}
+
+thread_local! {
+    /// The worker thread's spare outboxes. A host callback drains every
+    /// outbox before it returns, so one set per thread serves all the
+    /// hosts that thread runs: each host's own outboxes hold no memory
+    /// between callbacks, and the lent set keeps the capacity of the
+    /// busiest callback so the dispatch loop does not allocate.
+    static SPARE_OUTBOXES: Cell<Outboxes> = const {
+        Cell::new(Outboxes {
+            out: Vec::new(),
+            events: Vec::new(),
+            timers: Vec::new(),
+        })
+    };
+}
+
+/// Runs `f` with the thread's spare outboxes swapped into `stack`, and
+/// swaps them back out afterwards. `f` must leave the outboxes empty.
+fn with_lent_outboxes<R>(stack: &mut HostStack, f: impl FnOnce(&mut HostStack) -> R) -> R {
+    fn swap(stack: &mut HostStack, set: &mut Outboxes) {
+        std::mem::swap(&mut stack.out, &mut set.out);
+        std::mem::swap(&mut stack.events, &mut set.events);
+        std::mem::swap(&mut stack.timers, &mut set.timers);
+    }
+    // `take` leaves an empty set behind, so a nested lend (none exists
+    // today) would merely allocate its own buffers.
+    let mut set = SPARE_OUTBOXES.take();
+    swap(stack, &mut set);
+    let r = f(stack);
+    swap(stack, &mut set);
+    debug_assert!(set.out.is_empty() && set.events.is_empty() && set.timers.is_empty());
+    SPARE_OUTBOXES.set(set);
+    r
 }
 
 impl HostDevice {
@@ -210,7 +243,6 @@ impl HostDevice {
             app,
             started: false,
             published: StackStats::default(),
-            scratch: DriveScratch::default(),
         }
     }
 
@@ -250,16 +282,24 @@ impl HostDevice {
         ctx: &mut Ctx<'_>,
         f: impl FnOnce(&mut T, &mut Os<'_, '_>) -> R,
     ) -> R {
-        let app = self
-            .app
-            .downcast_mut::<T>()
-            .unwrap_or_else(|| panic!("app is not a {}", std::any::type_name::<T>())); // punch-lint: allow(P001) typed-accessor contract: caller names the app type it installed
-        let mut os = Os {
-            stack: &mut self.stack,
-            ctx,
-        };
-        let r = f(app, &mut os);
-        Self::drive(&mut self.stack, self.app.as_mut(), &mut self.scratch, ctx);
+        self.run(ctx, |app, os| {
+            let app = app
+                .downcast_mut::<T>()
+                .unwrap_or_else(|| panic!("app is not a {}", std::any::type_name::<T>())); // punch-lint: allow(P001) typed-accessor contract: caller names the app type it installed
+            f(app, os)
+        })
+    }
+
+    /// Runs one callback: lends the stack the worker's outboxes, hands
+    /// `f` the app and a live [`Os`], drives the side effects into the
+    /// network, then publishes the stack's counter deltas.
+    fn run<R>(&mut self, ctx: &mut Ctx<'_>, f: impl FnOnce(&mut dyn App, &mut Os<'_, '_>) -> R) -> R {
+        let app = self.app.as_mut();
+        let r = with_lent_outboxes(&mut self.stack, |stack| {
+            let r = f(&mut *app, &mut Os { stack, ctx });
+            Self::drive(stack, app, ctx);
+            r
+        });
         self.flush_metrics(ctx);
         r
     }
@@ -298,39 +338,26 @@ impl HostDevice {
 
     /// Flushes stack side effects and dispatches pending events to the
     /// app, repeating until quiescent (app callbacks may generate more).
-    fn drive(
-        stack: &mut HostStack,
-        app: &mut dyn App,
-        scratch: &mut DriveScratch,
-        ctx: &mut Ctx<'_>,
-    ) {
+    /// Each round sends packets, then arms timers, then dispatches events.
+    fn drive(stack: &mut HostStack, app: &mut dyn App, ctx: &mut Ctx<'_>) {
         loop {
-            stack.drain_packets_into(&mut scratch.packets);
-            for pkt in scratch.packets.drain(..) {
+            for pkt in stack.out.drain(..) {
                 ctx.send(0, pkt);
             }
-            stack.drain_timers_into(&mut scratch.timers);
-            for (after, token) in scratch.timers.drain(..) {
+            for (after, token) in stack.timers.drain(..) {
                 ctx.set_timer(after, token);
             }
-            stack.drain_events_into(&mut scratch.events);
-            if scratch.events.is_empty() {
-                // One more flush in case the last app callback queued
-                // packets but no events.
-                stack.drain_packets_into(&mut scratch.packets);
-                for pkt in scratch.packets.drain(..) {
-                    ctx.send(0, pkt);
-                }
-                stack.drain_timers_into(&mut scratch.timers);
-                for (after, token) in scratch.timers.drain(..) {
-                    ctx.set_timer(after, token);
-                }
+            if stack.events.is_empty() {
                 return;
             }
-            for ev in scratch.events.drain(..) {
-                let mut os = Os { stack, ctx };
-                app.on_event(&mut os, ev);
+            let mut batch = std::mem::take(&mut stack.events);
+            for ev in batch.drain(..) {
+                app.on_event(&mut Os { stack, ctx }, ev);
             }
+            // Events the batch raised went into a fresh buffer; move
+            // them into the lent one so its capacity is kept.
+            batch.append(&mut stack.events);
+            stack.events = batch;
         }
     }
 }
@@ -342,40 +369,104 @@ impl Device for HostDevice {
             let seed = ctx.rng().gen();
             self.stack.reseed(seed);
         }
-        let mut os = Os {
-            stack: &mut self.stack,
-            ctx,
-        };
-        self.app.on_start(&mut os);
-        Self::drive(&mut self.stack, self.app.as_mut(), &mut self.scratch, ctx);
-        self.flush_metrics(ctx);
+        self.run(ctx, |app, os| app.on_start(os));
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _iface: IfaceId, pkt: Packet) {
-        self.stack.handle_packet(pkt);
-        Self::drive(&mut self.stack, self.app.as_mut(), &mut self.scratch, ctx);
-        self.flush_metrics(ctx);
+        self.run(ctx, |_, os| os.stack.handle_packet(pkt));
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if !self.stack.handle_timer(token) {
-            let mut os = Os {
-                stack: &mut self.stack,
-                ctx,
-            };
-            self.app.on_timer(&mut os, token);
-        }
-        Self::drive(&mut self.stack, self.app.as_mut(), &mut self.scratch, ctx);
-        self.flush_metrics(ctx);
+        self.run(ctx, |app, os| {
+            if !os.stack.handle_timer(token) {
+                app.on_timer(os, token);
+            }
+        });
     }
 
     fn on_fault(&mut self, ctx: &mut Ctx<'_>, fault: u64) {
-        let mut os = Os {
-            stack: &mut self.stack,
-            ctx,
-        };
-        self.app.on_fault(&mut os, fault);
-        Self::drive(&mut self.stack, self.app.as_mut(), &mut self.scratch, ctx);
-        self.flush_metrics(ctx);
+        self.run(ctx, |app, os| app.on_fault(os, fault));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use punch_net::testutil::SinkDevice;
+    use punch_net::{LinkSpec, Sim};
+
+    const HOST: [u8; 4] = [10, 0, 0, 1];
+    const PEER: [u8; 4] = [10, 0, 0, 2];
+
+    /// On each datagram (or when poked), sends eight datagrams and opens
+    /// four TCP connects, each of which arms a stack retransmit timer.
+    #[derive(Default)]
+    struct Burst {
+        sock: Option<SocketId>,
+        bursts: usize,
+    }
+
+    impl Burst {
+        fn burst(&mut self, os: &mut Os<'_, '_>) {
+            let peer = Endpoint::new(PEER.into(), 9000);
+            for i in 0..8u8 {
+                os.udp_send(self.sock.unwrap(), peer, vec![i]).unwrap();
+            }
+            for port in 9001..9005 {
+                os.tcp_connect(Endpoint::new(PEER.into(), port), ConnectOpts::default())
+                    .unwrap();
+            }
+            self.bursts += 1;
+        }
+    }
+
+    impl App for Burst {
+        fn on_start(&mut self, os: &mut Os<'_, '_>) {
+            self.sock = Some(os.udp_bind(4000).unwrap());
+        }
+
+        fn on_event(&mut self, os: &mut Os<'_, '_>, ev: SockEvent) {
+            if let SockEvent::UdpReceived { .. } = ev {
+                self.burst(os);
+            }
+        }
+    }
+
+    fn assert_outboxes_empty(sim: &Sim, host: punch_net::NodeId) {
+        let stack = sim.device::<HostDevice>(host).stack();
+        assert_eq!(
+            (stack.out.capacity(), stack.events.capacity(), stack.timers.capacity()),
+            (0, 0, 0),
+            "a host's outboxes must hold no memory between callbacks"
+        );
+    }
+
+    #[test]
+    fn outboxes_hold_no_memory_between_callbacks() {
+        let mut sim = Sim::new(7);
+        let host = sim.add_node(
+            "host",
+            Box::new(HostDevice::new(HOST.into(), StackConfig::default(), Box::<Burst>::default())),
+        );
+        let wire = sim.add_node("wire", Box::new(SinkDevice::default()));
+        sim.connect(host, wire, LinkSpec::lan());
+        sim.run_until_idle();
+
+        // A datagram in: the burst runs inside `on_packet`.
+        let poke = Packet::udp(Endpoint::new(PEER.into(), 9000), Endpoint::new(HOST.into(), 4000), b"go".as_ref());
+        sim.with_node(wire, |_, ctx| ctx.send(0, poke));
+        sim.run_until(sim.now() + Duration::from_millis(50));
+        assert_eq!(sim.device::<HostDevice>(host).app::<Burst>().bursts, 1);
+        assert_outboxes_empty(&sim, host);
+
+        // The harness path: the burst runs inside `with_app`.
+        sim.with_node(host, |dev, ctx| {
+            let dev = dev.downcast_mut::<HostDevice>().unwrap();
+            dev.with_app::<Burst, _>(ctx, |app, os| app.burst(os));
+        });
+        assert_outboxes_empty(&sim, host);
+        sim.run_until(sim.now() + Duration::from_millis(50));
+        assert_outboxes_empty(&sim, host);
+        assert_eq!(sim.device::<SinkDevice>(wire).packets.len(), 2 * (8 + 4));
     }
 }

@@ -13,7 +13,7 @@ use crate::event::SockEvent;
 use crate::socket::{decode_timer, SocketId, TimerKind};
 use crate::tcb::{StackStats, Tcb, TcbOutcome, TcpIo, TcpState};
 use bytes::Bytes;
-use punch_net::{Body, Endpoint, IcmpKind, Packet, Proto, TcpFlags, TcpSegment};
+use punch_net::{Body, Endpoint, IcmpKind, Packet, Proto, TcpFlags, TcpSegment, VecMap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, VecDeque};
@@ -59,7 +59,9 @@ enum Socket {
 /// handling append to internal outboxes ([`HostStack::take_packets`],
 /// [`HostStack::take_events`], [`HostStack::take_timers`]) which the
 /// embedding [`crate::HostDevice`] drains into the simulator and the
-/// application. This keeps the stack directly unit-testable.
+/// application. This keeps the stack directly unit-testable. A
+/// `HostDevice` lends the outboxes a per-worker buffer set for the length
+/// of each callback, so between callbacks they hold no memory.
 #[derive(Debug)]
 pub struct HostStack {
     ip: Ipv4Addr,
@@ -68,16 +70,16 @@ pub struct HostStack {
     /// Secret for RFC 6528-style ISS generation.
     iss_secret: u64,
     next_sock: u32,
-    socks: BTreeMap<SocketId, Socket>,
+    socks: VecMap<SocketId, Socket>,
     /// TCP connections by (local, remote).
     conn_index: BTreeMap<(Endpoint, Endpoint), SocketId>,
     /// TCP listeners by local port.
-    listeners: BTreeMap<u16, SocketId>,
+    listeners: VecMap<u16, SocketId>,
     /// UDP sockets by local port.
-    udp_index: BTreeMap<u16, SocketId>,
-    out: Vec<Packet>,
-    events: Vec<SockEvent>,
-    timers: Vec<(Duration, u64)>,
+    udp_index: VecMap<u16, SocketId>,
+    pub(crate) out: Vec<Packet>,
+    pub(crate) events: Vec<SockEvent>,
+    pub(crate) timers: Vec<(Duration, u64)>,
     stats: StackStats,
 }
 
@@ -90,10 +92,10 @@ impl HostStack {
             rng: StdRng::seed_from_u64(seed),
             iss_secret: seed ^ 0x1505_1505_1505_1505,
             next_sock: 1,
-            socks: BTreeMap::new(),
+            socks: VecMap::new(),
             conn_index: BTreeMap::new(),
-            listeners: BTreeMap::new(),
-            udp_index: BTreeMap::new(),
+            listeners: VecMap::new(),
+            udp_index: VecMap::new(),
             out: Vec::new(),
             events: Vec::new(),
             timers: Vec::new(),
@@ -146,28 +148,6 @@ impl HostStack {
     /// Drains pending timer requests (`(delay, token)`).
     pub fn take_timers(&mut self) -> Vec<(Duration, u64)> {
         std::mem::take(&mut self.timers)
-    }
-
-    /// Appends queued transmissions to `buf`, leaving the internal
-    /// queue empty but with its capacity intact. The `take_*` variants
-    /// surrender the backing allocation, so a stack driven once per
-    /// packet pays a malloc/free per delivery; the `drain_*_into`
-    /// family exists so a long-lived driver can recycle one scratch
-    /// buffer instead.
-    pub fn drain_packets_into(&mut self, buf: &mut Vec<Packet>) {
-        buf.append(&mut self.out);
-    }
-
-    /// Appends pending application events to `buf`; see
-    /// [`Self::drain_packets_into`] for why this exists.
-    pub fn drain_events_into(&mut self, buf: &mut Vec<SockEvent>) {
-        buf.append(&mut self.events);
-    }
-
-    /// Appends pending timer requests to `buf`; see
-    /// [`Self::drain_packets_into`] for why this exists.
-    pub fn drain_timers_into(&mut self, buf: &mut Vec<(Duration, u64)>) {
-        buf.append(&mut self.timers);
     }
 
     /// Returns the number of live sockets (tests/diagnostics).

@@ -67,7 +67,10 @@
 #                                           and runs each workload (crowd,
 #                                           fleet, survey) for 1 s, plus a
 #                                           traced fleet run; every result
-#                                           line must say "correct": true
+#                                           line must say "correct": true,
+#                                           and peak RSS must stay at or
+#                                           under 260 MB on crowd and
+#                                           40 MB on fleet
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -318,9 +321,16 @@ bench_smoke() {
         > "$tmpdir/bench_$1_$2.txt"
     tail -n 1 "$tmpdir/bench_$1_$2.txt" | python3 -c '
 import json, sys
-ok = json.loads(sys.stdin.read()).get("correct")
+line = json.loads(sys.stdin.read())
+ok = line.get("correct")
 if ok is not True:
     sys.exit(f"FAIL: benchmark {sys.argv[1]} --trace {sys.argv[2]} reported correct={ok}")
+# Memory ratchet: per-endpoint state must stay sized by what is live.
+cap = {"crowd": 260, "fleet": 40}.get(sys.argv[1])
+if cap is not None and sys.argv[2] == "0":
+    rss = line["metrics"]["peak_rss_mb"]["value"]
+    if rss > cap:
+        sys.exit(f"FAIL: benchmark {sys.argv[1]} peak_rss_mb {rss:.1f} is above {cap}")
 ' "$1" "$2"
     echo "OK: $1 --trace $2 correct"
 }
